@@ -5,12 +5,16 @@ Each engine realizes the normal form and search that its fragment admits:
 * ``check_er``     pure-release formulas via the atomic right form; the
                    nondeterministic length-|W|+1 path is realized as a
                    reachable cycle inside the invariant region.
-* ``check_eg_frag``  EG with one of {}, {&}, {|}, {!}: prefix collapse,
-                   conjunctive/disjunctive normal forms, lasso searches.
+* ``check_eg_frag``  EG with one of {}, {&}, {|}, {!}: prefix collapse and
+                   conjunctive/disjunctive normal forms over EG regions.
 * ``check_ef_frag``  EF with one of {}, {|}, {!}: reachability normal
                    forms; EF with {&} has no specialized procedure and is
                    forwarded to the generic checker.
 * ``route``        dispatches a formula to the most specialized engine.
+
+Regions are state bitsets, and the EG and EF regions come from the
+primitives of :mod:`ctlfrag.semantics`; only the forward searches from
+one state (``_reach_within``) are the engines' own.
 
 All engines agree with :mod:`ctlfrag.semantics` on their fragments; the
 test suite enforces this on random corpora.
@@ -38,56 +42,37 @@ class FragmentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# shared region searches
+# shared helpers
 
-def _sustainable(model: KripkeModel, region) -> frozenset:
-    """States from which some infinite path stays inside `region` forever
-    (equivalently: states reaching a cycle that lies within the region)."""
-    z = frozenset(region)
-    while True:
-        step = frozenset(w for w in z if model.successors[w] & z)
-        if step == z:
-            return z
-        z = step
+def _state(model: KripkeModel, state: str) -> int:
+    if state not in model.index:
+        raise KeyError(f"unknown state {state!r}")
+    return model.index[state]
 
 
-def _reach_within(model: KripkeModel, start, region) -> frozenset:
-    """States reachable from `start` along paths inside `region`, including
-    `start` itself; empty when `start` is outside the region."""
-    if start not in region:
-        return frozenset()
-    seen = {start}
+def _reach_within(model: KripkeModel, start: int, region=None) -> list:
+    """States reachable from `start` along paths inside `region` (marks as
+    from ``model.marks``; None for all states), including `start` itself;
+    empty when `start` is outside the region."""
+    unseen = bytearray(b"\x01") * model.n if region is None else bytearray(region)
+    if not unseen[start]:
+        return []
+    unseen[start] = 0
+    succ = model.succ
     frontier = [start]
-    while frontier:
-        w = frontier.pop()
-        for v in model.successors[w]:
-            if v in region and v not in seen:
-                seen.add(v)
+    for w in frontier:
+        for v in succ[w]:
+            if unseen[v]:
+                unseen[v] = 0
                 frontier.append(v)
-    return frozenset(seen)
+    return frontier
 
 
-def _forward_reach(model: KripkeModel, start) -> frozenset:
-    return _reach_within(model, start, model.all_states)
-
-
-def _backward_reach(model: KripkeModel, targets) -> frozenset:
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        w = frontier.pop()
-        for v in model.predecessors[w]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return frozenset(seen)
-
-
-def _leaf_region(model: KripkeModel, leaf: Formula) -> frozenset:
+def _leaf_region(model: KripkeModel, leaf: Formula) -> int:
     if isinstance(leaf, Top):
-        return model.all_states
+        return model.full
     if isinstance(leaf, Atom):
-        return model.states_with(leaf.name)
+        return model.atom_bits.get(leaf.name, 0)
     raise FragmentError(f"expected an atomic leaf, found {leaf}")
 
 
@@ -123,9 +108,10 @@ def check_er(model: KripkeModel, state: str, phi: Formula) -> bool:
     either closes a cycle inside the b-region or ends at a state
     satisfying both a_1 and the tail form."""
     top_form = atomic_right_form(phi)
+    start = _state(model, state)
     memo = {}
     arf_cache = {}
-    sustain_cache = {}
+    leaf_cache = {}
 
     def arf(f):
         got = arf_cache.get(f)
@@ -133,10 +119,12 @@ def check_er(model: KripkeModel, state: str, phi: Formula) -> bool:
             got = arf_cache[f] = atomic_right_form(f)
         return got
 
-    def sustainable_for(leaf):
-        got = sustain_cache.get(leaf)
+    def leaf_marks(leaf):
+        # the leaf's region and the part of it with an infinite path inside
+        got = leaf_cache.get(leaf)
         if got is None:
-            got = sustain_cache[leaf] = _sustainable(model, _leaf_region(model, leaf))
+            region = _leaf_region(model, leaf)
+            got = leaf_cache[leaf] = (model.marks(region), model.marks(semantics.eg(model, region)))
         return got
 
     def holds(w, form):
@@ -148,24 +136,20 @@ def check_er(model: KripkeModel, state: str, phi: Formula) -> bool:
         return result
 
     def _decide(w, form):
-        leaf = form[-1]
-        region = _leaf_region(model, leaf)
-        if w not in region:
+        region, sustainable = leaf_marks(form[-1])
+        if not region[w]:
             return False
         if len(form) == 1:
             return True
-        if w in sustainable_for(leaf):
+        if sustainable[w]:
             return True
         head, tail = form[0], form[1:]
-        reach = _reach_within(model, w, region)
-        for x in sorted(reach, key=model.index.__getitem__):
+        for x in sorted(_reach_within(model, w, region)):
             if holds(x, arf(head)) and holds(x, tail):
                 return True
         return False
 
-    if state not in model.index:
-        raise KeyError(f"unknown state {state!r}")
-    return holds(state, top_form)
+    return holds(start, top_form)
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +173,18 @@ def _norm_eg_and(phi):
     raise FragmentError(f"outside the EG/and fragment: {phi}")
 
 
-def _region_all(model, atoms) -> frozenset:
-    region = model.all_states
+def _region_all(model, atoms) -> int:
+    region = model.full
     for a in atoms:
-        region &= model.states_with(a)
+        region &= model.atom_bits.get(a, 0)
     return region
 
 
-def _eg_and(model, state, phi):
+def _eg_and(model, i, phi):
     atoms, groups = _norm_eg_and(phi)
-    if state not in _region_all(model, atoms):
+    if not _region_all(model, atoms) >> i & 1:
         return False
-    return all(state in _sustainable(model, _region_all(model, group)) for group in groups)
+    return all(semantics.eg(model, _region_all(model, group)) >> i & 1 for group in groups)
 
 
 def _norm_eg_or(phi):
@@ -219,48 +203,31 @@ def _norm_eg_or(phi):
     raise FragmentError(f"outside the EG/or fragment: {phi}")
 
 
-def _region_any(model, has_top, atoms) -> frozenset:
+def _region_any(model, has_top, atoms) -> int:
     if has_top:
-        return model.all_states
-    region = frozenset()
+        return model.full
+    region = 0
     for a in atoms:
-        region |= model.states_with(a)
+        region |= model.atom_bits.get(a, 0)
     return region
 
 
-def _eg_or(model, state, phi):
-    memo = {}
+def _eg_or(model, i, phi):
+    # EG(form) is EG over the form's own states: its atoms' states and the
+    # states of its nested EG forms, each computed once per distinct form
+    eg_of = {}
 
-    def decide(w, form):
-        has_top, atoms, subs = form
-        if w in _region_any(model, has_top, atoms):
-            return True
-        return any(eg_decide(w, sub) for sub in subs)
-
-    def eg_decide(w, form):
-        # EG(form) at w: a cycle inside the disjunctive region, or a region
-        # path whose endpoint's successor starts a nested EG-witness
-        key = (w, form)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        memo[key] = result = _eg_decide(w, form)
-        return result
-
-    def _eg_decide(w, form):
+    def sat(form):
         has_top, atoms, subs = form
         region = _region_any(model, has_top, atoms)
-        if w in _sustainable(model, region):
-            return True
-        candidates = {w}
-        for x in _reach_within(model, w, region):
-            candidates |= model.successors[x]
-        for x in sorted(candidates, key=model.index.__getitem__):
-            if any(eg_decide(x, sub) for sub in subs):
-                return True
-        return False
+        for sub in subs:
+            got = eg_of.get(sub)
+            if got is None:
+                got = eg_of[sub] = semantics.eg(model, sat(sub))
+            region |= got
+        return region
 
-    return decide(state, _norm_eg_or(phi))
+    return bool(sat(_norm_eg_or(phi)) >> i & 1)
 
 
 _EG_NEG_DUAL = {"EG": "AF", "AF": "EG"}
@@ -286,17 +253,17 @@ def _canon_eg_neg(phi):
     raise FragmentError(f"outside the EG/not fragment: {phi}")
 
 
-def _eg_neg(model, state, phi):
+def _eg_neg(model, i, phi):
     word, atom, positive = _canon_eg_neg(phi)
-    region = model.states_with(atom)
+    region = model.atom_bits.get(atom, 0)
     if not positive:
-        region = model.all_states - region
+        region ^= model.full
     for op in reversed(word):
         if op == "EG":
-            region = _sustainable(model, region)
+            region = semantics.eg(model, region)
         else:  # AF S == complement of EG(complement S)
-            region = model.all_states - _sustainable(model, model.all_states - region)
-    return state in region
+            region = model.full ^ semantics.eg(model, model.full ^ region)
+    return bool(region >> i & 1)
 
 
 def check_eg_frag(model: KripkeModel, state: str, phi: Formula) -> bool:
@@ -305,15 +272,14 @@ def check_eg_frag(model: KripkeModel, state: str, phi: Formula) -> bool:
     sig = signature(phi)
     if sig.temporal_ops - {"EG"}:
         raise FragmentError(f"outside the EG fragments: {phi}")
-    if state not in model.index:
-        raise KeyError(f"unknown state {state!r}")
+    i = _state(model, state)
     b = sig.boolean_ops
     if b <= {"&"}:
-        return _eg_and(model, state, phi)
+        return _eg_and(model, i, phi)
     if b <= {"|"}:
-        return _eg_or(model, state, phi)
+        return _eg_or(model, i, phi)
     if b <= {"!"}:
-        return _eg_neg(model, state, phi)
+        return _eg_neg(model, i, phi)
     raise FragmentError(f"outside the EG fragments: {phi}")
 
 
@@ -346,14 +312,14 @@ def _merge_ef(left, right):
     return (left[0] or right[0], left[1] | right[1])
 
 
-def _ef_or(model, state, phi):
+def _ef_or(model, i, phi):
     has_top, atoms, ef = _norm_ef_or(phi)
-    if state in _region_any(model, has_top, atoms):
+    if _region_any(model, has_top, atoms) >> i & 1:
         return True
     if ef is None:
         return False
-    goal = _region_any(model, ef[0], ef[1])
-    return bool(_forward_reach(model, state) & goal)
+    goal = model.marks(_region_any(model, ef[0], ef[1]))
+    return any(map(goal.__getitem__, _reach_within(model, i)))
 
 
 def _canon_ef_neg(phi):
@@ -377,17 +343,17 @@ def _canon_ef_neg(phi):
     raise FragmentError(f"outside the EF/not fragment: {phi}")
 
 
-def _ef_neg(model, state, phi):
+def _ef_neg(model, i, phi):
     word, atom, positive = _canon_ef_neg(phi)
-    region = model.states_with(atom)
+    region = model.atom_bits.get(atom, 0)
     if not positive:
-        region = model.all_states - region
+        region ^= model.full
     for op in reversed(word):
         if op == "EF":
-            region = _backward_reach(model, region)
+            region = semantics.ef(model, region)
         else:  # AG S == complement of EF(complement S)
-            region = model.all_states - _backward_reach(model, model.all_states - region)
-    return state in region
+            region = model.full ^ semantics.ef(model, model.full ^ region)
+    return bool(region >> i & 1)
 
 
 def check_ef_frag(model: KripkeModel, state: str, phi: Formula) -> bool:
@@ -396,13 +362,12 @@ def check_ef_frag(model: KripkeModel, state: str, phi: Formula) -> bool:
     sig = signature(phi)
     if sig.temporal_ops - {"EF"}:
         raise FragmentError(f"outside the EF fragments: {phi}")
-    if state not in model.index:
-        raise KeyError(f"unknown state {state!r}")
+    i = _state(model, state)
     b = sig.boolean_ops
     if b <= {"|"}:
-        return _ef_or(model, state, phi)
+        return _ef_or(model, i, phi)
     if b <= {"!"}:
-        return _ef_neg(model, state, phi)
+        return _ef_neg(model, i, phi)
     if b <= {"&"}:
         return semantics.check(model, state, phi)
     raise FragmentError(f"outside the EF fragments: {phi}")

@@ -22,8 +22,13 @@ that round-trips byte-for-byte through ``load_model``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from .syntax import Formula
+
+_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class KripkeModel:
@@ -32,6 +37,16 @@ class KripkeModel:
     The constructor accepts arbitrary tables; ``validate`` reports every
     violation of the model invariants (unique ids, labels only on known
     states, total transition relation).
+
+    The distinct state names are numbered 0..n-1 in first-occurrence order
+    (``names``, ``index``).  The checkers work on the integer
+    representation: ``succ`` and ``pred`` hold each state's successor and
+    predecessor numbers, and a set of states is a Python-int bitset with
+    bit i for state i (``atom_bits`` per atom, ``full`` for all states).
+    Edges with an unknown end are left out of it.  The input tables
+    ``states``, ``edges`` and ``labels`` are kept as given; ``successors``,
+    ``predecessors``, ``all_states`` and ``states_with`` are name-keyed
+    views, built on first access.
     """
 
     def __init__(self, states, edges, labels=None):
@@ -40,31 +55,56 @@ class KripkeModel:
         raw = labels or {}
         self.labels = {w: frozenset(raw.get(w, ())) for w in self.states}
         self._extra_label_states = tuple(w for w in raw if w not in self.labels)
-        self.index = {}
-        for i, w in enumerate(self.states):
-            self.index.setdefault(w, i)
-        self.all_states = frozenset(self.states)
-        succ = {w: set() for w in self.states}
-        pred = {w: set() for w in self.states}
-        for (u, v) in self.edges:
-            if u in succ and v in pred:
-                succ[u].add(v)
-                pred[v].add(u)
-        self.successors = {w: frozenset(s) for w, s in succ.items()}
-        self.predecessors = {w: frozenset(p) for w, p in pred.items()}
-        atom_states = {}
+        index = self.index = {}
         for w in self.states:
+            index.setdefault(w, len(index))
+        self.names = self.states if len(index) == len(self.states) else tuple(index)
+        self.n = n = len(self.names)
+        self.full = (1 << n) - 1
+        succ = self.succ = [[] for _ in range(n)]
+        pred = self.pred = [[] for _ in range(n)]
+        get = index.get
+        for (u, v) in self.edges:
+            i, j = get(u), get(v)
+            if i is not None and j is not None:
+                succ[i].append(j)
+                pred[j].append(i)
+        atom_marks = {}
+        for i, w in enumerate(self.names):
             for atom in self.labels[w]:
-                atom_states.setdefault(atom, set()).add(w)
-        self._atom_states = {a: frozenset(s) for a, s in atom_states.items()}
+                marks = atom_marks.get(atom)
+                if marks is None:
+                    marks = atom_marks[atom] = bytearray(n)
+                marks[i] = 1
+        self.atom_bits = {a: self.pack(m) for a, m in atom_marks.items()}
+
+    def marks(self, bits: int) -> bytearray:
+        """One byte per state: 1 where `bits` holds the state, else 0."""
+        return bytearray(format(bits, "b")[::-1].ljust(self.n, "0"), "ascii").translate(_TO_BIT)
+
+    def pack(self, marks) -> int:
+        """The bitset of the states marked 1 (marks are 0 or 1); inverse of ``marks``."""
+        return int(b"0" + marks.translate(_TO_DIGIT)[::-1], 2)
+
+    def names_of(self, bits: int) -> frozenset:
+        """The names of the states in `bits`."""
+        return frozenset(compress(self.names, self.marks(bits)))
 
     def states_with(self, atom: str) -> frozenset:
         """States labeled with `atom`; unknown atoms hold nowhere."""
-        return self._atom_states.get(atom, frozenset())
+        return self.names_of(self.atom_bits.get(atom, 0))
 
-    def pre_exists(self, target) -> frozenset:
-        """States with at least one successor inside `target`."""
-        return frozenset(w for w in self.states if self.successors[w] & target)
+    @cached_property
+    def all_states(self) -> frozenset:
+        return frozenset(self.names)
+
+    @cached_property
+    def successors(self) -> dict:
+        return {w: frozenset(self.names[j] for j in s) for w, s in zip(self.names, self.succ)}
+
+    @cached_property
+    def predecessors(self) -> dict:
+        return {w: frozenset(self.names[i] for i in p) for w, p in zip(self.names, self.pred)}
 
     def __eq__(self, other):
         return (
@@ -97,7 +137,7 @@ def validate(model: KripkeModel) -> list:
         if v not in model.index:
             problems.append(f"edge to unknown state {v!r}")
     for w in model.states:
-        if not model.successors[w]:
+        if not model.succ[model.index[w]]:
             problems.append(f"state {w!r} has no successor")
     return problems
 

@@ -58,13 +58,30 @@ def test_check_er_single_loop_cases():
     assert check_er(model, "w", er(er(Atom("a"), Atom("b")), Atom("f"))) is True
 
 
+def _long_chain(n, end_labels):
+    """w0 -> ... -> w(n-1) -> w(n-1), p on all but the last state."""
+    states = [f"w{i}" for i in range(n)]
+    edges = list(zip(states, states[1:])) + [(states[-1], states[-1])]
+    labels = {w: {"p"} for w in states[:-1]}
+    labels[states[-1]] = set(end_labels)
+    return KripkeModel(states, edges, labels)
+
+
 @pytest.mark.parametrize("boolean", [(), ("&",), ("|",), ("!",)])
 def test_eg_engine_agrees_with_semantics(boolean):
     rng = random.Random(stable_seed("eg", *boolean))
+    cases = []
     for _ in range(150):
         model = random_model(rng, rng.randint(2, 8))
         phi = random_formula(rng, rng.randint(1, 4), temporal=("EG",), boolean=boolean)
-        state = rng.choice(model.states)
+        cases.append((model, rng.choice(model.states), phi))
+    if boolean == ("|",):
+        # nested EG forms on a long chain: each form's region once per query
+        phi = parse_formula("EG (p | EG q)")
+        for end in ({"q"}, set()):
+            model = _long_chain(5000, end)
+            cases += [(model, w, phi) for w in ("w0", "w2500", "w4999")]
+    for model, state, phi in cases:
         assert check_eg_frag(model, state, phi) == semantics.check(model, state, phi), str(phi)
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ctlfrag.fastcheck import route
 from ctlfrag.harness import random_formula, random_model, stable_seed
 from ctlfrag.kripke import KripkeModel
 from ctlfrag.semantics import check, sat_set
@@ -59,34 +60,60 @@ def test_agreement_with_lasso_oracle():
         assert {w for w, v in expected.items() if v} == set(got), str(phi)
 
 
+def _with_dead_ends(rng, n_states):
+    """A random model in which about a third of the states have no successor."""
+    model = random_model(rng, n_states)
+    dead = {w for w in model.states if rng.random() < 0.35}
+    edges = [(u, v) for (u, v) in model.edges if u not in dead]
+    return KripkeModel(model.states, edges, model.labels), dead
+
+
+def _iterate(step, start, states, increasing):
+    """Kleene iteration of `step` from `start`; checks monotonicity and the
+    |W|-round bound, returns the fixpoint."""
+    z = start
+    rounds = 0
+    while True:
+        nxt = step(z)
+        assert z <= nxt if increasing else nxt <= z
+        if nxt == z:
+            return z
+        z = nxt
+        rounds += 1
+        assert rounds <= len(states)
+
+
+_ENGINE_FRAGMENTS = [(("ER",), ()), (("EG",), ("&",)), (("EG",), ("|",)), (("EG",), ("!",)),
+                     (("EF",), ("|",)), (("EF",), ("!",)), (("EF",), ("&",))]
+
+
 def test_fixpoints_converge_within_state_count_rounds():
     rng = random.Random(5)
-    for _ in range(25):
-        model = random_model(rng, rng.randint(2, 8))
-        hold = model.states_with("p")
-        goal = model.states_with("q")
-        z = goal
-        rounds = 0
-        while True:
-            step = goal | (hold & model.pre_exists(z))
-            assert z <= step  # nondecreasing
-            if step == z:
-                break
-            z = step
-            rounds += 1
-        assert rounds <= len(model.states)
-        assert z == sat_set(model, parse_formula("E[p U q]"))
-        y = hold
-        rounds = 0
-        while True:
-            step = hold & model.pre_exists(y)
-            assert step <= y  # nonincreasing
-            if step == y:
-                break
-            y = step
-            rounds += 1
-        assert rounds <= len(model.states)
-        assert y == sat_set(model, parse_formula("EG p"))
+    for _ in range(60):
+        model, dead = _with_dead_ends(rng, rng.randint(2, 8))
+        states = model.states
+
+        def pre(z):
+            return frozenset(w for w in states if model.successors[w] & z)
+
+        p, q = model.states_with("p"), model.states_with("q")
+        sat = {text: sat_set(model, parse_formula(text))
+               for text in ("EX p", "EF q", "E[p U q]", "EG p", "E[q R p]")}
+        assert sat["EX p"] == pre(p)
+        assert sat["EF q"] == _iterate(lambda z: q | pre(z), q, states, True)
+        assert sat["E[p U q]"] == _iterate(lambda z: q | (p & pre(z)), q, states, True)
+        assert sat["EG p"] == _iterate(lambda z: p & pre(z), p, states, False)
+        assert sat["E[q R p]"] == _iterate(lambda z: p & (q | pre(z)), p, states, False)
+        # the dead-end contract stated in the semantics docstring
+        for w in dead:
+            assert w not in sat["EX p"] and w not in sat["EG p"]
+            assert (w in sat["EF q"]) == (w in q)
+            assert (w in sat["E[q R p]"]) == (w in p and w in q)
+        # the fragment engines keep that contract
+        for temporal, boolean in _ENGINE_FRAGMENTS:
+            phi = random_formula(rng, rng.randint(1, 4), temporal=temporal, boolean=boolean)
+            for state in states:
+                assert route(model, state, phi)[0] == check(model, state, phi), (str(phi), state)
 
 
 @pytest.mark.parametrize(
